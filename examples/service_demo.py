@@ -6,11 +6,11 @@ demonstrates the service layer's three promises:
 
 1. **Throughput** -- N pipelining clients drive the Query-Q template
    mix concurrently through one token; the load generator reports
-   queries/sec, latency percentiles and the admission counters.
-2. **Admission control** -- every statement pledged its planned
-   secure-RAM peak before running; the counters prove queries really
-   queued (FIFO) and the admitted set never over-pledged the 64 KB
-   budget.
+   queries/sec, latency percentiles and the token lane's counters.
+2. **One token lane** -- the token runs one statement at a time, so
+   every statement is one job on a single FIFO lane; the counters show
+   how long statements queued there, that the lane finished idle, and
+   how often a measured RAM peak exceeded the cost model's estimate.
 3. **Snapshot isolation** -- a reader's response carries the exact
    per-table ``(data, stats)`` generations it was pinned to, a
    writer's response carries its ``writer_seq`` and the post-write
@@ -45,31 +45,30 @@ async def snapshot_demo(db) -> None:
             assert after.generations["T0"] != before.generations["T0"]
 
             stats = await client.server_stats()
-            admission = stats["admission"]
-            print(f"admission: {admission['admitted']} admitted, "
-                  f"{admission['queued_total']} queued, peak pledge "
-                  f"{admission['peak_reserved']}/{admission['capacity']} "
-                  f"bytes")
-            assert admission["peak_reserved"] <= admission["capacity"]
+            lane = stats["lane"]
+            print(f"lane: {lane['jobs_total']} jobs, max queue depth "
+                  f"{lane['max_queue_depth']}")
+            assert stats["service"]["errors_total"] == 0
 
 
 def main() -> None:
     db = build_synthetic(SyntheticConfig(scale=0.002,
                                          full_indexing=True))
 
-    # -- 1 + 2: concurrent throughput under admission control --------
+    # -- 1 + 2: concurrent throughput through the one token lane -----
     report = run_loadgen(db, n_clients=6, n_queries=8)
     print(report.describe())
     assert report.errors == 0
-    assert report.admission["peak_reserved"] <= \
-        report.admission["capacity"]
-    print(f"every query pledged its planned ram_peak first; "
-          f"{report.admission['queued_total']} waited their FIFO turn\n")
+    assert report.service["errors_total"] == 0
+    assert report.lane["queue_depth"] == 0
+    print(f"{report.lane['jobs_total']} statements took their FIFO turn "
+          f"on the lane; {report.service['claim_underruns']} measured "
+          f"RAM peaks exceeded their estimate\n")
 
     # -- 3: snapshot pins, writer_seq, generation maps ---------------
     asyncio.run(snapshot_demo(db))
     print("\nsnapshot isolation verified: reads pin one consistent "
-          "generation state; writes serialize on the writer lane.")
+          "generation state; writes serialize on the token lane.")
 
 
 if __name__ == "__main__":

@@ -4,9 +4,9 @@
 Builds a small synthetic database, starts the asyncio server
 in-process, and runs the load generator with 10 concurrent pipelining
 clients executing the Query-Q template mix.  Exits non-zero when any
-query errored, when the server counted an error, or when the admission
-bookkeeping finished unbalanced -- the cheap always-on proof that the
-service layer boots and serves under concurrency.
+query errored, when the server counted an error, or when the token
+lane did not finish idle -- the cheap always-on proof that the service
+layer boots and serves under concurrency.
 
 Usage::
 
@@ -39,7 +39,7 @@ def main() -> int:
     report = run_loadgen(db, n_clients=opts.clients,
                          n_queries=opts.queries)
     print(report.describe())
-    print(f"admission: {report.admission}")
+    print(f"lane     : {report.lane}")
     print(f"service  : {report.service}")
 
     failures = []
@@ -52,10 +52,10 @@ def main() -> int:
     if report.n_queries != expected:
         failures.append(
             f"only {report.n_queries}/{expected} queries completed")
-    if report.admission["reserved_now"] or report.admission["queue_depth"]:
-        failures.append("admission ledger finished unbalanced")
-    if report.admission["peak_reserved"] > report.admission["capacity"]:
-        failures.append("admitted set over-pledged the RAM budget")
+    if report.lane["queue_depth"]:
+        failures.append("token lane did not finish idle")
+    if "claim_underruns" not in report.service:
+        failures.append("RAM-estimate misses (claim_underruns) unreported")
     if failures:
         print("SMOKE FAILED: " + "; ".join(failures))
         return 1

@@ -127,7 +127,7 @@ class GhostDB:
         self._sessions: "weakref.WeakSet[Session]" = weakref.WeakSet()
         self._default_session: Optional[Session] = None
         self._generation = 0
-        # exactly-once DML: the service writer lane records responses
+        # exactly-once DML: the service's write jobs record responses
         # here under client idempotency keys (persisted in snapshots)
         self.ikeys = IdempotencyLedger()
         # the last statement's undo journal: armed (uncommitted) when a
@@ -336,8 +336,21 @@ class GhostDB:
                 f"statement has {bound.param_count} unbound ? "
                 f"placeholder(s): use prepare() and execute(params)"
             )
+        return self._plan_bound(bound, vis_strategy, cross, projection,
+                                order_method)
+
+    def _plan_bound(self, bound, vis_strategy: StrategyLike = None,
+                    cross: Optional[bool] = None,
+                    projection: Union[str, ProjectionMode] = "project",
+                    order_method: SortMethodLike = None) -> QueryPlan:
+        """Plan an already-bound SELECT (the session's planning call)."""
         return self._planner.plan(bound, vis_strategy, cross, projection,
                                   order_method)
+
+    def _generations_for(self, tables):
+        """The ``(data, stats)`` generations a plan over ``tables``
+        depends on (the session's plan-cache stamp)."""
+        return self.catalog.generations_for(tables)
 
     def explain(self, sql: str, analyze: bool = False, **kwargs) -> str:
         """Human-readable plan description.
@@ -426,7 +439,7 @@ class GhostDB:
         stats.bytes_to_untrusted = ch.bytes_to_untrusted - out_before
         # the per-query attribution window ensures this is the peak of
         # *this* query's allocations, even when other statements
-        # interleave on the shared token (service admission control)
+        # interleave on the shared token
         stats.ram_peak = window.peak
         return QueryResult(columns=names, rows=rows, stats=stats, plan=plan)
 

@@ -16,7 +16,7 @@ inconsistent token" into "milliseconds of deterministic cleanup":
   (:meth:`~repro.core.ghostdb.GhostDB.undo_last_dml`).
 
 * :class:`IdempotencyLedger` -- the exactly-once half of the retry
-  contract.  The service writer lane records each DML response under
+  contract.  The service's write job records each DML response under
   the client-supplied idempotency key; a retried statement whose key
   is already present gets the recorded response back instead of a
   second application.  The ledger is bounded (FIFO eviction) and

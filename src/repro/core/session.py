@@ -186,12 +186,11 @@ class PreparedStatement:
             else db.table_generations
         plan = cache.get(self._key, gens)
         if plan is None:
-            plan = db._planner.plan(
+            plan = db._plan_bound(
                 bound, self._vis_strategy, self._cross, self._projection,
                 self._order_method,
             )
-            cache.put(self._key, plan,
-                      db.catalog.generations_for(bound.tables))
+            cache.put(self._key, plan, db._generations_for(bound.tables))
         return plan
 
     def execute(self, params: Sequence = ()) -> QueryResult:
@@ -207,6 +206,7 @@ class PreparedStatement:
 
         See :meth:`Session.query_many` for the amortizations applied.
         """
+        self.session._require_one_token()
         return self.session._run_template_batch(self, param_sets,
                                                 prefetch_vis)
 
@@ -242,6 +242,12 @@ class Session:
     sessions share the database's token and Untrusted engine -- only
     the caching layer is per-session.  ``GhostDB.rebuild()`` calls
     :meth:`invalidate` on every live session.
+
+    A sharded fleet (:class:`~repro.shard.fleet.ShardedGhostDB`) serves
+    sessions too: it provides the same ``_bind`` / ``_plan_bound`` /
+    ``_generations_for`` / ``table_generations`` / ``execute_plan``
+    calls a session makes, with fleet plans in place of token plans.
+    Only batched execution is single-token.
     """
 
     def __init__(self, db: "GhostDB", plan_cache_capacity: int = 64):
@@ -314,8 +320,10 @@ class Session:
         prefetches all Vis requests in :data:`VIS_BATCH_SIZE` chunks
         (one round trip per chunk instead of one per request), and
         returns per-query results plus one aggregated
-        :class:`QueryStats` for the batch.
+        :class:`QueryStats` for the batch.  Batching shares one token's
+        ledgers and Vis server, so a sharded fleet refuses it.
         """
+        self._require_one_token()
         if isinstance(sql, str):
             stmt = self.prepare(sql, vis_strategy, cross, projection,
                                 order_method)
@@ -333,6 +341,13 @@ class Session:
     def invalidate(self) -> None:
         """Drop cached plans (called by ``GhostDB.rebuild()``)."""
         self.plan_cache.invalidate()
+
+    def _require_one_token(self) -> None:
+        if getattr(self.db, "n_shards", 1) > 1:
+            raise GhostDBError(
+                "batched execution reads one token's ledgers; a sharded "
+                "fleet runs its statements one at a time"
+            )
 
     # ------------------------------------------------------------------
     # snapshot-pinned execution (the service layer's isolation path)
@@ -359,10 +374,10 @@ class Session:
         Raises :class:`~repro.errors.SnapshotError` if any touched
         table's generations differ from ``pinned`` either at start or
         after execution -- a reader can therefore never return rows
-        derived from a mixed-generation state.  (DML and compaction are
-        serialized on the writer lane and statements execute atomically
-        on the token, so under the service this assertion documents and
-        *enforces* the isolation the architecture provides.)
+        derived from a mixed-generation state.  (The service runs pin,
+        plan and execution as one job on its single token lane, so
+        there this assertion documents and *enforces* the isolation
+        the architecture provides.)
         """
         self._check_pin(plan, pinned, "at statement start")
         result = self.db.execute_plan(plan, announce=announce)
@@ -401,11 +416,10 @@ class Session:
                     "statement has ? placeholders: use prepare() or "
                     "pass params"
                 )
-            plan = self.db._planner.plan(bound, vis_strategy, cross,
-                                         projection, order_method)
+            plan = self.db._plan_bound(bound, vis_strategy, cross,
+                                       projection, order_method)
             self.plan_cache.put(key, plan,
-                                self.db.catalog.generations_for(
-                                    bound.tables))
+                                self.db._generations_for(bound.tables))
         return plan
 
     # ------------------------------------------------------------------

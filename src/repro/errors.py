@@ -115,10 +115,6 @@ class SnapshotError(GhostDBError):
     """
 
 
-class AdmissionError(GhostDBError):
-    """A query can never be admitted (its claim exceeds the budget)."""
-
-
 class PersistError(GhostDBError):
     """Snapshot or restore of the durable token image failed or was
     refused (e.g. a snapshot requested mid-compaction)."""

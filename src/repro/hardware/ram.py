@@ -10,21 +10,16 @@ plans honour the paper's 64 KB budget.
 The natural allocation unit is one *buffer* of one flash page (2 KB);
 the default budget is 32 such buffers.
 
-Two bookkeeping layers sit next to the allocator itself:
-
-* :class:`QueryWindow` (via :meth:`SecureRam.query_window`) attributes
-  allocations to the query that made them.  Windows are tracked
-  through a :mod:`contextvars` stack, so windows opened by different
-  asyncio tasks (or ``to_thread`` contexts) never see each other's
-  allocations: two interleaved queries each report their *own* peak
-  instead of smearing a shared high-water mark.  The legacy
-  :meth:`SecureRam.reset_peak` global window survives for direct
-  callers, but every per-statement report in the engine goes through
-  windows.
-* :class:`RamReservations` is the admission-control ledger used by the
-  query service: *planned* peak claims are reserved against the budget
-  before a query is allowed to run, and the ledger hard-asserts that
-  the admitted set never pledges more than the capacity.
+A bookkeeping layer sits next to the allocator itself:
+:class:`QueryWindow` (via :meth:`SecureRam.query_window`) attributes
+allocations to the query that made them.  Windows are tracked through
+a :mod:`contextvars` stack, so windows opened by different asyncio
+tasks (or ``to_thread`` contexts) never see each other's allocations:
+two interleaved queries each report their *own* peak instead of
+smearing a shared high-water mark.  The legacy
+:meth:`SecureRam.reset_peak` global window survives for direct
+callers, but every per-statement report in the engine goes through
+windows.
 """
 
 from __future__ import annotations
@@ -67,76 +62,6 @@ class QueryWindow:
 
     def _uncharge(self, nbytes: int) -> None:
         self.held = max(0, self.held - nbytes)
-
-
-class RamReservation:
-    """One admitted query's pledge against the RAM budget."""
-
-    __slots__ = ("ledger", "nbytes", "label", "released")
-
-    def __init__(self, ledger: "RamReservations", nbytes: int, label: str):
-        self.ledger = ledger
-        self.nbytes = nbytes
-        self.label = label
-        self.released = False
-
-    def release(self) -> None:
-        """Return the pledged bytes to the pool (idempotent)."""
-        if not self.released:
-            self.released = True
-            self.ledger._release(self)
-
-
-class RamReservations:
-    """Admission-control ledger of planned peak claims.
-
-    Unlike :class:`SecureRam` this never backs real allocations: it
-    accounts for the *pledged* peaks of admitted-but-possibly-running
-    queries, so an admission controller can refuse to start a query
-    whose planned ``ram_peak`` does not fit alongside the already
-    admitted set.  :meth:`reserve` hard-raises when a claim would push
-    the pledged total past the capacity -- the "admitted set never
-    exceeds the budget" invariant is asserted here, not sampled.
-    """
-
-    def __init__(self, capacity: int):
-        if capacity <= 0:
-            raise ValueError("reservation capacity must be positive")
-        self.capacity = capacity
-        self.reserved = 0
-        self.active = 0
-        self.peak_reserved = 0
-        self.max_coadmitted = 0
-        self.total_reservations = 0
-
-    @property
-    def free_bytes(self) -> int:
-        return self.capacity - self.reserved
-
-    def fits(self, nbytes: int) -> bool:
-        """Whether a claim of ``nbytes`` fits alongside the admitted set."""
-        return self.reserved + nbytes <= self.capacity
-
-    def reserve(self, nbytes: int, label: str = "") -> RamReservation:
-        """Pledge ``nbytes``; raises :class:`RamExhausted` over budget."""
-        if nbytes < 0:
-            raise ValueError("reservation size must be non-negative")
-        if not self.fits(nbytes):
-            raise RamExhausted(
-                f"admission would over-pledge secure RAM: {nbytes} bytes "
-                f"for {label or 'query'} with only {self.free_bytes} of "
-                f"{self.capacity} bytes unpledged"
-            )
-        self.reserved += nbytes
-        self.active += 1
-        self.total_reservations += 1
-        self.peak_reserved = max(self.peak_reserved, self.reserved)
-        self.max_coadmitted = max(self.max_coadmitted, self.active)
-        return RamReservation(self, nbytes, label)
-
-    def _release(self, reservation: RamReservation) -> None:
-        self.reserved -= reservation.nbytes
-        self.active -= 1
 
 
 class Allocation:
@@ -272,10 +197,6 @@ class SecureRam:
         finally:
             window.closed = True
             _WINDOWS.reset(token)
-
-    def reservations(self) -> RamReservations:
-        """A fresh admission ledger sized to this RAM's capacity."""
-        return RamReservations(self.capacity)
 
     def reset_peak(self) -> int:
         """Start a new peak-tracking window; returns the old peak.

@@ -30,8 +30,8 @@ nothing that was ever logically deleted.
 Snapshots are refused while a compaction job is in flight: the shadow
 files of a half-done fold are not part of the live catalog and a
 restored image could not resume the job.  The service layer additionally
-routes snapshots through its writer lane so they never interleave with
-a DML statement.
+runs a snapshot as one job on its token lane so it never interleaves
+with a DML statement.
 """
 
 from __future__ import annotations

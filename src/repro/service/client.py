@@ -22,7 +22,7 @@ and raises a clean :class:`ServiceTimeout` when the server goes quiet
 transport-level failures (timeouts, drops, torn frames) with
 exponential backoff.  Retried ``execute`` DML carries an *idempotency
 key*, generated once per logical statement and resent verbatim on
-every attempt; the server's writer lane records the response under
+every attempt; the server's write job records the response under
 that key, so a statement whose response was lost on the wire is
 answered from the record instead of being applied twice
 (exactly-once).  Only ``execute``, ``ping`` and ``server_stats`` are
@@ -246,7 +246,7 @@ class GhostClient:
         return self._call({"op": "snapshot", "path": path})
 
     def server_stats(self) -> Dict[str, Any]:
-        """The server's counter snapshot (admission, service, cache)."""
+        """The server's counter snapshot (lane, service, cache)."""
         return self._call_with_retries({"op": "stats"})
 
     def ping(self) -> bool:
@@ -424,7 +424,7 @@ class AsyncGhostClient:
         return await self._call({"op": "snapshot", "path": path})
 
     async def server_stats(self) -> Dict[str, Any]:
-        """The server's counter snapshot (admission, service, cache)."""
+        """The server's counter snapshot (lane, service, cache)."""
         return await self._call_with_retries({"op": "stats"})
 
     async def ping(self) -> bool:

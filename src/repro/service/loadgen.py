@@ -6,11 +6,10 @@ has each run ``n_queries`` parameterized executions of the paper's
 Query Q templates (the Figure 10 shape and its Figure 12 variant with
 a hidden projection), at randomized visible selectivities.  Reports
 client-observed wall-clock throughput and latency percentiles plus the
-server's admission counters -- the ``service_loadgen`` perf-smoke
-figure.
+server's lane counters -- the ``service_loadgen`` perf-smoke figure.
 
-Wall-clock here measures the *service*: framing, scheduling, admission
-and thread handoff around the simulated token.  The simulated-time
+Wall-clock here measures the *service*: framing, queueing on the token
+lane and thread handoff around the simulated token.  The simulated-time
 cost of the queries themselves is the figure benchmarks' subject, not
 this one's.
 """
@@ -63,7 +62,7 @@ class LoadgenReport:
     latency_p50_ms: float
     latency_p95_ms: float
     latency_max_ms: float
-    admission: Dict[str, Any] = field(default_factory=dict)
+    lane: Dict[str, Any] = field(default_factory=dict)
     service: Dict[str, Any] = field(default_factory=dict)
     #: failure counts bucketed by error type (server-side ``error_type``
     #: for ServiceError, exception class name otherwise) -- a failing
@@ -85,8 +84,8 @@ class LoadgenReport:
             f"{self.qps:.1f} q/s; latency p50 "
             f"{self.latency_p50_ms:.1f}ms p95 "
             f"{self.latency_p95_ms:.1f}ms; "
-            f"queued {self.admission.get('queued_total', 0)}, "
-            f"max queue depth {self.admission.get('max_queue_depth', 0)}, "
+            f"lane wait {self.lane.get('wait_s_total', 0.0):.3f}s, "
+            f"max queue depth {self.lane.get('max_queue_depth', 0)}, "
             f"errors {self.errors}{breakdown}"
         )
 
@@ -155,7 +154,7 @@ async def _run(db: GhostDB, n_clients: int, n_queries: int, seed: int,
             for i in range(n_clients)
         ])
         wall_s = time.perf_counter() - t0
-        admission = server.admission.describe()
+        lane = server.lane.describe()
         service = {
             "connections_total": server.connections_total,
             "requests_total": server.requests_total,
@@ -174,7 +173,7 @@ async def _run(db: GhostDB, n_clients: int, n_queries: int, seed: int,
         latency_p50_ms=_percentile(latencies_ms, 0.50),
         latency_p95_ms=_percentile(latencies_ms, 0.95),
         latency_max_ms=latencies_ms[-1] if latencies_ms else 0.0,
-        admission=admission,
+        lane=lane,
         service=service,
         error_types=dict(sorted(error_types.items())),
     )

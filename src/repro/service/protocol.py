@@ -17,7 +17,7 @@ execute     ``sql`` (any supported statement), optional ``params``
 prepare     ``sql`` with ``?`` placeholders -> ``{"stmt": id, ...}``
 exec_stmt   ``stmt`` (a prepare'd id), optional ``params``
 compact     ``table``, optional ``max_steps``/``pages_per_step``
-stats       server counters (admission, plan cache, generations)
+stats       server counters (lane, plan cache, generations)
 ping        liveness probe
 ========== ==========================================================
 

@@ -1,36 +1,29 @@
 """The asyncio query server: many clients, one secure token.
 
 :class:`GhostServer` multiplexes any number of concurrent client
-connections onto one :class:`~repro.core.ghostdb.GhostDB` instance.
-Statements on the token itself execute one at a time (there is one
-64 KB secure RAM and one USB channel), but the service keeps many
-statements *in flight* and decides, per statement, when it may enter
-the pipeline:
+connections onto one :class:`~repro.core.ghostdb.GhostDB` (or sharded
+fleet).  The token has one 64 KB secure RAM and one USB channel and
+runs one statement at a time, so the server gives it exactly one
+execution lane (:class:`~repro.service.lane.TokenLane`): a single
+worker thread fed by a FIFO queue.  Every statement is one job on it:
 
-* **Admission control** -- every statement pledges its planned
-  ``ram_peak`` (see :func:`plan_ram_claim`) with the
-  :class:`~repro.service.admission.AdmissionController` before it may
-  run; statements that do not fit alongside the currently admitted set
-  wait in a FIFO queue.  The controller's ledger hard-raises if the
-  admitted set would ever exceed the budget, so the invariant is
-  asserted on every admission.
-* **Snapshot isolation for readers** -- a SELECT pins the per-table
-  ``(data, stats)`` generations of every table it touches, plans
-  against that pin, and executes through
-  :meth:`~repro.core.session.Session.execute_pinned`, which raises
-  :class:`~repro.errors.SnapshotError` the moment the pin is violated.
-  A pin broken while the statement waited for admission (a writer got
-  in between) transparently re-pins, re-plans and re-admits -- counted
-  in ``snapshot_retries``, never visible as a mixed-generation read.
-* **A single writer lane** -- INSERT/DELETE/compaction serialize on
-  one :class:`asyncio.Lock`; each write is tagged with a monotonically
-  increasing ``writer_seq`` and answers with the full post-write
-  generation map, which is what makes client-side oracles (and the
-  concurrency property suite) possible.
+* **a read** pins the per-table ``(data, stats)`` generations of every
+  table it touches, plans against that pin and runs through
+  :meth:`~repro.core.session.Session.execute_pinned`, all in the same
+  job -- no write can land between pin and execution.  The response
+  carries the pin; the measured ``ram_peak`` is checked against the
+  cost model's estimate (:func:`plan_ram_claim`, per token on a
+  fleet) and misses are counted in ``claim_underruns``;
+* **a write** (INSERT/DELETE/compaction) checks the idempotency
+  ledger, applies, recovers in place on :class:`PowerLoss`, and is
+  tagged with a monotonically increasing ``writer_seq`` and the full
+  post-write generation map.  Arrival order on the lane *is* the write
+  order, which is what makes client-side oracles (and the concurrency
+  property suite) possible;
+* ``prepare`` and ``snapshot`` are one job each.
 
-Actual token execution happens in worker threads
-(``asyncio.to_thread``) under one :class:`threading.Lock`, keeping the
-event loop responsive while admission tickets genuinely overlap.
+The event loop only frames requests, dispatches them and answers
+``ping`` and ``stats``, so it stays responsive while the lane works.
 """
 
 from __future__ import annotations
@@ -43,55 +36,39 @@ from typing import Any, Dict, Optional, Tuple
 from repro.core.ghostdb import GhostDB
 from repro.core.plan import QueryPlan
 from repro.core.session import PreparedStatement, Session
-from repro.errors import GhostDBError, PowerLoss, SnapshotError
+from repro.errors import GhostDBError, PowerLoss
 from repro.hardware.ram import SecureRam
-from repro.service.admission import AdmissionController
+from repro.service.lane import TokenLane
 from repro.service.protocol import FrameError, read_frame, write_frame
 from repro.sql import ast
 from repro.sql.parser import parse
 
-#: claim, in RAM pages, when a plan carries no costed estimate (plans
-#: whose visible selections all sit on the anchor table produce no
-#: cost report; measured peaks of such selects are ~2 pages, so 8 is a
-#: comfortably conservative pledge)
+#: estimate, in RAM pages, when a plan carries no costed estimate
+#: (plans whose visible selections all sit on the anchor table produce
+#: no cost report; measured peaks of such selects are ~2 pages, so 8
+#: is a comfortably conservative envelope)
 FALLBACK_CLAIM_PAGES = 8
 
-#: claim, in RAM pages, for the writer lane (INSERT/DELETE/compaction
-#: steps measure <= 1 page of transient secure-RAM use; 8 pledges the
-#: same conservative envelope as un-costed reads)
-WRITER_CLAIM_PAGES = 8
-
-#: every statement pledges at least this much -- row assembly buffers
-#: exist even for plans the cost model prices at zero RAM
+#: every estimate is at least this much -- row assembly buffers exist
+#: even for plans the cost model prices at zero RAM
 MIN_CLAIM_PAGES = 2
-
-#: how many snapshot-pin violations one statement retries before the
-#: server gives up and reports the conflict to the client
-MAX_SNAPSHOT_RETRIES = 16
 
 #: per-connection in-flight request cap (backpressure on pipelining)
 MAX_INFLIGHT_PER_CONNECTION = 32
 
 
 def plan_ram_claim(plan: QueryPlan, ram: SecureRam) -> int:
-    """The secure-RAM pledge one planned SELECT admits under.
+    """The secure-RAM peak one planned SELECT is expected to reach.
 
     Uses the cost model's chosen estimate when the plan carries one
     (``cost_report`` exists only for cost-based choices with free
     tables), falling back to a conservative
     :data:`FALLBACK_CLAIM_PAGES` envelope otherwise, and adding the
     ordering step's priced peak on top of the floor.  Clamped into
-    ``[MIN_CLAIM_PAGES * page, capacity]`` so a pledge is always
-    satisfiable.
+    ``[MIN_CLAIM_PAGES * page, capacity]``.  A fleet plan is checked
+    fragment by fragment, each against its own shard's RAM (see
+    :meth:`~repro.shard.fleet.FleetQueryPlan.subplans`).
     """
-    subplans = getattr(plan, "subplans", None)
-    if subplans is not None:
-        # a fleet plan pledges the sum of its per-shard claims against
-        # the fleet's pooled admission ledger (each fragment occupies
-        # its own shard's RAM for the whole statement)
-        total = sum(plan_ram_claim(sub, sub_ram)
-                    for sub, sub_ram in subplans())
-        return min(total, ram.capacity)
     claim = MIN_CLAIM_PAGES * ram.page_size
     chosen = plan.cost_report.chosen if plan.cost_report else None
     if chosen is not None:
@@ -108,13 +85,12 @@ def plan_ram_claim(plan: QueryPlan, ram: SecureRam) -> int:
     return min(claim, ram.capacity)
 
 
-def _stats_block(stats, claim: int, waited_s: float) -> Dict[str, Any]:
+def _stats_block(stats, waited_s: float) -> Dict[str, Any]:
     """The compact per-response simulated-cost block."""
     return {
         "total_s": stats.total_s,
         "ram_peak": stats.ram_peak,
-        "ram_claim": claim,
-        "admission_wait_s": round(waited_s, 6),
+        "lane_wait_s": round(waited_s, 6),
         "bytes_to_secure": stats.bytes_to_secure,
         "bytes_to_untrusted": stats.bytes_to_untrusted,
         "result_rows": stats.result_rows,
@@ -142,14 +118,13 @@ class GhostServer:
         self.db = db
         self.host = host
         self._requested_port = port
-        self.admission = AdmissionController(db.token.ram)
+        #: the one execution lane every statement runs on
+        self.lane = TokenLane()
         #: optional response-path fault injector (chaos harness only;
         #: see :class:`repro.faults.wire.WireFaults`)
         self.wire_faults = wire_faults
-        #: serializes all actual token access across worker threads
+        #: held by every lane job while it touches the token
         self._exec_lock = threading.Lock()
-        #: serializes DML and compaction (the single writer lane)
-        self._writer_lane = asyncio.Lock()
         self._writer_seq = 0
         self._server: Optional[asyncio.AbstractServer] = None
         self._conn_tasks: set = set()
@@ -162,10 +137,19 @@ class GhostServer:
         self.connections_now = 0
         self.requests_total = 0
         self.errors_total = 0
+        #: reads re-run after a broken snapshot pin; pin, plan and
+        #: execution share one lane job, so this stays 0
         self.snapshot_retries = 0
         self.claim_underruns = 0
         self.replays = 0
         self.recoveries = 0
+
+    @property
+    def admission(self) -> TokenLane:
+        """Alias of :attr:`lane` for callers that read its wait
+        counters as ``admission.describe()["wait_s_total"]`` (the
+        benchmark harness does)."""
+        return self.lane
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -185,11 +169,12 @@ class GhostServer:
     async def stop(self) -> None:
         """Stop accepting, drain in-flight requests, close connections.
 
-        In-flight statements -- the writer lane's in particular -- run
-        to completion and their responses are written *before* any
-        connection is torn down: a stop mid-write must deliver the
-        tagged ``writer_seq`` response, not drop it.  The drain is
-        shielded so cancelling ``stop()`` itself cannot cut it short.
+        In-flight statements -- writes in particular -- run to
+        completion on the lane and their responses are written
+        *before* any connection is torn down: a stop mid-write must
+        deliver the tagged ``writer_seq`` response, not drop it.  The
+        drain is shielded so cancelling ``stop()`` itself cannot cut
+        it short.
         """
         if self._server is not None:
             self._server.close()
@@ -207,6 +192,7 @@ class GhostServer:
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks,
                                  return_exceptions=True)
+        self.lane.close()
 
     async def serve_forever(self) -> None:
         """Start (if needed) and serve until cancelled."""
@@ -313,7 +299,7 @@ class GhostServer:
                 raise GhostDBError(
                     f"unknown prepared statement {request.get('stmt')!r}")
             params = tuple(request.get("params") or ())
-            return await self._run_select(conn, stmt, params)
+            return await self._run_select(conn, params, stmt=stmt)
         if op == "compact":
             return await self._op_compact(request)
         if op == "execute":
@@ -327,8 +313,9 @@ class GhostServer:
         parsed = parse(sql)
         if not isinstance(parsed, ast.SelectQuery):
             raise GhostDBError("prepare supports SELECT statements only")
-        stmt = await asyncio.to_thread(
-            self._locked, conn.session.prepare, sql)
+        stmt = await self.lane.run(
+            self._locked, conn.session.prepare, sql, None, None,
+            "project", None, parsed)
         stmt_id = conn.next_stmt_id
         conn.next_stmt_id += 1
         conn.statements[stmt_id] = stmt
@@ -340,10 +327,8 @@ class GhostServer:
         params = tuple(request.get("params") or ())
         parsed = parse(sql)
         if isinstance(parsed, ast.SelectQuery):
-            stmt = await asyncio.to_thread(
-                self._locked, conn.session.prepare, sql, None, None,
-                "project", None, parsed)
-            return await self._run_select(conn, stmt, params)
+            return await self._run_select(conn, params, sql=sql,
+                                          parsed=parsed)
         return await self._run_write(
             lambda: self.db.execute(sql, params or None),
             ikey=request.get("ikey"))
@@ -376,102 +361,95 @@ class GhostServer:
     async def snapshot(self, path: str) -> Dict[str, Any]:
         """Write a durable image of the served database to ``path``.
 
-        Holds the writer lane while the image is taken so no DML or
-        compaction step can interleave with the serialization; readers
-        keep flowing (they never mutate token state).  Inherits
+        Runs as one lane job, so no DML or compaction step can
+        interleave with the serialization.  Inherits
         :meth:`GhostDB.snapshot`'s refusal to snapshot while a bounded
         compaction job is mid-flight
         (:class:`~repro.errors.PersistError`), which the wire layer
         surfaces to the client like any other statement error.
         """
-        async with self._writer_lane:
-            return await asyncio.to_thread(
-                self._locked, self.db.snapshot, path)
+        return await self.lane.run(self._locked, self.db.snapshot, path)
 
     # ------------------------------------------------------------------
-    # the reader path: pin -> plan -> admit -> execute under the pin
+    # the read path: one job pins, plans and executes
     # ------------------------------------------------------------------
-    async def _run_select(self, conn: _Connection,
-                          stmt: PreparedStatement,
-                          params: Tuple) -> dict:
-        bound = stmt.template.substitute(params)
-        label = stmt.sql[:40]
-        for _ in range(MAX_SNAPSHOT_RETRIES):
-            pinned, plan = await asyncio.to_thread(
-                self._pin_and_plan, conn.session, stmt, bound)
-            claim = plan_ram_claim(plan, self.db.token.ram)
-            with await self.admission.admit(claim, label) as ticket:
-                try:
-                    result = await asyncio.to_thread(
-                        self._locked, conn.session.execute_pinned,
-                        plan, pinned)
-                except SnapshotError:
-                    # a writer slipped in while we waited for
-                    # admission; re-pin and re-plan against the new
-                    # generations rather than surface a stale read
-                    self.snapshot_retries += 1
-                    continue
-            if result.stats.ram_peak > ticket.claim:
-                self.claim_underruns += 1
-            stmt.executions += 1
-            return {
-                "ok": True, "kind": "rows",
-                "columns": list(result.columns),
-                "rows": [list(r) for r in result.rows],
-                "generations": {t: list(g) for t, g in pinned.items()},
-                "stats": _stats_block(result.stats, ticket.claim,
-                                      ticket.waited_s),
-            }
-        raise SnapshotError(
-            f"statement {label!r} lost the snapshot race "
-            f"{MAX_SNAPSHOT_RETRIES} times"
-        )
+    async def _run_select(self, conn: _Connection, params: Tuple,
+                          stmt: Optional[PreparedStatement] = None,
+                          sql: str = "", parsed=None) -> dict:
+        """Run ``stmt`` (or, without one, the parsed ``sql``)."""
+        return await self.lane.run(self._read, conn.session, stmt,
+                                   params, sql, parsed)
 
-    def _pin_and_plan(self, session: Session, stmt: PreparedStatement,
-                      bound) -> Tuple[Dict[str, Tuple[int, int]],
-                                      QueryPlan]:
+    def _read(self, session: Session, stmt: Optional[PreparedStatement],
+              params: Tuple, sql: str, parsed) -> dict:
         with self._exec_lock:
+            if stmt is None:
+                stmt = session.prepare(sql, parsed=parsed)
+            bound = stmt.template.substitute(params)
             pinned = session.pin_generations(bound.tables)
             plan = stmt.plan_for(bound, generations=pinned)
-            return pinned, plan.with_bound(bound)
+            result = session.execute_pinned(plan.with_bound(bound), pinned)
+        claim, underrun = self._ram_estimate(result)
+        if underrun:
+            self.claim_underruns += 1
+        stmt.executions += 1
+        stats = _stats_block(result.stats, self.lane.job_wait_s)
+        stats["ram_claim"] = claim
+        return {
+            "ok": True, "kind": "rows",
+            "columns": list(result.columns),
+            "rows": [list(r) for r in result.rows],
+            "generations": {t: list(g) for t, g in pinned.items()},
+            "stats": stats,
+        }
+
+    def _ram_estimate(self, result) -> Tuple[int, bool]:
+        """``(estimate, missed)`` for one read: the largest per-token
+        :func:`plan_ram_claim`, and whether any token's measured peak
+        exceeded its own estimate."""
+        plan = result.plan
+        subplans = getattr(plan, "subplans", None)
+        if subplans is None:
+            pairs = [((plan, self.db.token.ram), result.stats)]
+        else:
+            pairs = list(zip(subplans(), result.shard_stats))
+        checks = [(plan_ram_claim(sub, ram), stats.ram_peak)
+                  for (sub, ram), stats in pairs]
+        return (max(claim for claim, _ in checks),
+                any(peak > claim for claim, peak in checks))
 
     # ------------------------------------------------------------------
-    # the writer path: one lane, then admission, then the token
+    # the write path: one job checks, applies and tags
     # ------------------------------------------------------------------
     async def _run_write(self, fn, ikey: Optional[str] = None) -> dict:
-        """One writer-lane statement, with the exactly-once contract.
+        return await self.lane.run(self._write, fn, ikey)
+
+    def _write(self, fn, ikey: Optional[str]) -> dict:
+        """One write, with the exactly-once contract.
 
         A request whose idempotency key was already recorded is
         answered from the record -- marked ``replayed`` -- without
         touching the token: the earlier attempt applied, only its
-        response was lost on the wire.  The record is written inside
-        the writer lane, so no concurrent retry can observe a gap
-        between "applied" and "recorded".  A statement that dies on
+        response was lost on the wire.  Check, apply and record share
+        one lane job, so no concurrent retry can observe a gap between
+        "applied" and "recorded".  A statement that dies on
         :class:`PowerLoss` triggers an in-place recovery (power-cycle
         plus statement rollback) before the error is reported.
         """
-        claim = min(WRITER_CLAIM_PAGES * self.db.token.ram.page_size,
-                    self.db.token.ram.capacity)
-        async with self._writer_lane:
+        with self._exec_lock:
             cached = self.db.ikeys.seen(ikey)
             if cached is not None:
                 self.replays += 1
                 response = dict(cached)
                 response["replayed"] = True
                 return response
-            with await self.admission.admit(claim, "writer") as ticket:
-                try:
-                    outcome = await asyncio.to_thread(self._locked, fn)
-                except PowerLoss:
-                    self.recoveries += 1
-                    await asyncio.to_thread(self._locked, self.db.recover)
-                    raise
-                self._writer_seq += 1
-                seq = self._writer_seq
-            generations = {
-                t: list(g)
-                for t, g in self.db.table_generations.items()
-            }
+            try:
+                outcome = fn()
+            except PowerLoss:
+                self.recoveries += 1
+                self.db.recover()
+                raise
+            self._writer_seq += 1
             if isinstance(outcome, dict):      # compact's ready response
                 response = outcome
             elif outcome is None:              # DDL
@@ -482,18 +460,21 @@ class GhostServer:
                     "statement": outcome.statement,
                     "table": outcome.table,
                     "rows_affected": outcome.rows_affected,
-                    "stats": _stats_block(outcome.stats, ticket.claim,
-                                          ticket.waited_s),
+                    "stats": _stats_block(outcome.stats,
+                                          self.lane.job_wait_s),
                 }
-            response["writer_seq"] = seq
-            response["generations"] = generations
+            response["writer_seq"] = self._writer_seq
+            response["generations"] = {
+                t: list(g)
+                for t, g in self.db.table_generations.items()
+            }
             if ikey is not None and response.get("kind") == "dml":
                 self.db.ikeys.record(ikey, dict(response))
             return response
 
     # ------------------------------------------------------------------
     def _locked(self, fn, *args):
-        """Run ``fn`` holding the token execution lock (thread pool)."""
+        """Run ``fn`` holding the token execution lock (lane thread)."""
         with self._exec_lock:
             return fn(*args)
 
@@ -501,7 +482,7 @@ class GhostServer:
         cache = conn.session.plan_cache
         return {
             "ok": True, "kind": "stats",
-            "admission": self.admission.describe(),
+            "lane": self.lane.describe(),
             "service": {
                 "connections_total": self.connections_total,
                 "connections_now": self.connections_now,

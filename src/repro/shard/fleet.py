@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import dataclasses
 import weakref
-from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.aggregate import apply_aggregates, effective_projections
@@ -49,14 +48,12 @@ from repro.core.planner import (SortMethodLike, StrategyLike,
 from repro.core.recovery import (IdempotencyLedger, RecoveryReport,
                                  StatementJournal)
 from repro.core.reference import ReferenceEngine
-from repro.core.session import PlanCache, plan_key
+from repro.core.session import PreparedStatement, Session
 from repro.core.sort import (dedup_rows, sort_projections,
                              strip_internal_columns)
 from repro.errors import (BindError, CompactionDeclined, GhostDBError,
-                          SchemaError, ShardDown, ShardUnavailable,
-                          SnapshotError)
-from repro.hardware.token import (SecureToken, TokenConfig,
-                                  fleet_admission_ram)
+                          SchemaError, ShardDown, ShardUnavailable)
+from repro.hardware.token import SecureToken, TokenConfig
 from repro.schema.ddl import column_from_def
 from repro.schema.model import Table
 from repro.shard import gather
@@ -72,15 +69,12 @@ class FleetToken:
 
     Real storage, channels and RAM live on each shard's own
     :class:`~repro.hardware.token.SecureToken`; this facade only
-    aggregates what fleet-level callers need -- most importantly the
-    admission-control RAM ledger, whose capacity is the *sum* of the
-    shard budgets (a scattered query pledges RAM on every shard at
-    once).
+    aggregates the clocks and throughput knobs fleet-level callers
+    need.
     """
 
     def __init__(self, tokens: List[SecureToken]):
         self.tokens = tokens
-        self.ram = fleet_admission_ram(tokens)
 
     def elapsed_s(self) -> float:
         """Fleet makespan: the slowest token's simulated clock."""
@@ -105,7 +99,7 @@ class FleetQueryPlan:
     scatter: bool
     #: per-shard fragment plans (scatter) or the single routed plan
     shard_plans: List[QueryPlan]
-    #: admission ledgers the per-shard claims pledge against
+    #: each fragment's shard RAM (its estimate is checked against it)
     shard_rams: List
     #: home shard of a non-scattered plan
     shard_id: Optional[int] = None
@@ -124,7 +118,8 @@ class FleetQueryPlan:
     order_pushdown: bool = False
 
     def subplans(self):
-        """(fragment plan, that shard's RAM) pairs, for admission."""
+        """(fragment plan, that shard's RAM) pairs, for per-token RAM
+        estimate checks."""
         return list(zip(self.shard_plans, self.shard_rams))
 
     def with_bound(self, bound: BoundQuery) -> "FleetQueryPlan":
@@ -167,122 +162,6 @@ class FleetQueryPlan:
         return "\n".join(lines)
 
 
-class FleetPreparedStatement:
-    """Prepared statement over the fleet (plan once per shard set)."""
-
-    def __init__(self, session: "FleetSession", sql: str,
-                 vis_strategy: StrategyLike = None,
-                 cross: Optional[bool] = None,
-                 projection: Union[str, ProjectionMode] = "project",
-                 order_method: SortMethodLike = None,
-                 parsed=None):
-        self.session = session
-        self.sql = sql
-        self._knobs = (vis_strategy, cross, projection, order_method)
-        self._key = plan_key(sql, vis_strategy, cross, projection,
-                             order_method)
-        db = session.db
-        db._require_built()
-        self.template: BoundQuery = db._bind(sql, parsed)
-        self.executions = 0
-
-    @property
-    def param_count(self) -> int:
-        return self.template.param_count
-
-    def plan_for(self, bound: BoundQuery,
-                 generations: Optional[Dict[str, Tuple[int, int]]] = None
-                 ) -> FleetQueryPlan:
-        db = self.session.db
-        cache = self.session.plan_cache
-        gens = generations if generations is not None \
-            else db.table_generations
-        plan = cache.get(self._key, gens)
-        if plan is None:
-            plan = db._plan_fleet(bound, *self._knobs)
-            cache.put(self._key, plan, db._generations_for(bound.tables))
-        return plan
-
-    def execute(self, params: Sequence = ()) -> QueryResult:
-        bound = self.template.substitute(tuple(params))
-        plan = self.plan_for(bound).with_bound(bound)
-        self.executions += 1
-        return self.session.db._execute_fleet_plan(plan)
-
-
-class FleetSession:
-    """Per-client plan cache and pinned execution over the fleet.
-
-    Duck-compatible with :class:`~repro.core.session.Session` where
-    the service layer needs it: ``prepare`` / ``query`` /
-    ``plan_cache`` / ``pin_generations`` / ``execute_pinned``.
-    """
-
-    def __init__(self, db: "ShardedGhostDB",
-                 plan_cache_capacity: int = 64):
-        db._require_built()
-        self.db = db
-        self.plan_cache = PlanCache(plan_cache_capacity)
-        self._statements: "OrderedDict" = OrderedDict()
-        db._sessions.add(self)
-
-    def prepare(self, sql: str,
-                vis_strategy: StrategyLike = None,
-                cross: Optional[bool] = None,
-                projection: Union[str, ProjectionMode] = "project",
-                order_method: SortMethodLike = None,
-                parsed=None) -> FleetPreparedStatement:
-        return FleetPreparedStatement(self, sql, vis_strategy, cross,
-                                      projection, order_method, parsed)
-
-    def query(self, sql: str, params: Optional[Sequence] = None,
-              vis_strategy: StrategyLike = None,
-              cross: Optional[bool] = None,
-              projection: Union[str, ProjectionMode] = "project",
-              order_method: SortMethodLike = None,
-              parsed=None) -> QueryResult:
-        key = plan_key(sql, vis_strategy, cross, projection,
-                       order_method)
-        stmt = self._statements.get(key)
-        if stmt is None:
-            stmt = self.prepare(sql, vis_strategy, cross, projection,
-                                order_method, parsed)
-            self._statements[key] = stmt
-            while len(self._statements) > self.plan_cache.capacity:
-                self._statements.popitem(last=False)
-        return stmt.execute(tuple(params) if params is not None else ())
-
-    def invalidate(self) -> None:
-        self.plan_cache.invalidate()
-
-    def pin_generations(self, tables=None) -> Dict[str, Tuple[int, int]]:
-        gens = self.db.table_generations
-        if tables is None:
-            return dict(gens)
-        return {t: gens[t] for t in tables}
-
-    def execute_pinned(self, plan: FleetQueryPlan,
-                       pinned: Dict[str, Tuple[int, int]],
-                       announce: bool = True) -> QueryResult:
-        self._check_pin(plan, pinned, "at statement start")
-        result = self.db._execute_fleet_plan(plan, announce=announce)
-        self._check_pin(plan, pinned, "after execution")
-        return result
-
-    def _check_pin(self, plan: FleetQueryPlan,
-                   pinned: Dict[str, Tuple[int, int]], when: str) -> None:
-        live = self.db.table_generations
-        moved = {
-            t: (gen, live.get(t))
-            for t, gen in pinned.items()
-            if t in plan.bound.tables and live.get(t) != gen
-        }
-        if moved:
-            raise SnapshotError(
-                f"pinned generations moved {when}: {moved}"
-            )
-
-
 class ShardedGhostDB:
     """N GhostDB shards behind the single-database statement API."""
 
@@ -305,8 +184,8 @@ class ShardedGhostDB:
         #: per-shard monotone local root id -> global root id
         self._root_maps: List[List[int]] = [[] for _ in range(n_shards)]
         self._next_root_gid = 0
-        self._sessions: "weakref.WeakSet[FleetSession]" = weakref.WeakSet()
-        self._default_session: Optional[FleetSession] = None
+        self._sessions: "weakref.WeakSet[Session]" = weakref.WeakSet()
+        self._default_session: Optional[Session] = None
         self._generation = 0
         #: optional :class:`repro.faults.fleet.FleetFaults` injector
         self.faults = None
@@ -431,6 +310,8 @@ class ShardedGhostDB:
         }
 
     def _generations_for(self, tables) -> Tuple:
+        """Summed generations a fleet plan over ``tables`` depends on
+        (the session's plan-cache stamp)."""
         gens = self.table_generations
         return tuple(sorted((t, gens[t]) for t in tables))
 
@@ -532,7 +413,7 @@ class ShardedGhostDB:
             )
         return sort_projections(bound, self.schema)
 
-    def _plan_fleet(self, bound: BoundQuery,
+    def _plan_bound(self, bound: BoundQuery,
                     vis_strategy: StrategyLike = None,
                     cross: Optional[bool] = None,
                     projection: Union[str, ProjectionMode] = "project",
@@ -608,7 +489,7 @@ class ShardedGhostDB:
                 f"statement has {bound.param_count} unbound ? "
                 f"placeholder(s): use prepare() and execute(params)"
             )
-        return self._plan_fleet(bound, vis_strategy, cross, projection,
+        return self._plan_bound(bound, vis_strategy, cross, projection,
                                 order_method)
 
     def explain(self, sql: str, analyze: bool = False, **kwargs) -> str:
@@ -627,7 +508,7 @@ class ShardedGhostDB:
             text += (f"\ngather merge: ~{est_rows} rows x {n_cols} "
                      f"cols est -> {merge_s * 1e3:.3f} ms")
         if analyze:
-            result = self._execute_fleet_plan(plan)
+            result = self.execute_plan(plan)
             per_shard = ", ".join(
                 f"shard{k}={s.total_s:.6f}s"
                 for k, s in enumerate(result.shard_stats))
@@ -653,8 +534,9 @@ class ShardedGhostDB:
     # ------------------------------------------------------------------
     # scatter-gather execution
     # ------------------------------------------------------------------
-    def _execute_fleet_plan(self, plan: FleetQueryPlan, *,
-                            announce: bool = True) -> QueryResult:
+    def execute_plan(self, plan: FleetQueryPlan, *,
+                     announce: bool = True) -> QueryResult:
+        """Run an already-planned fleet SELECT: scatter, then gather."""
         if not plan.scatter:
             k = plan.shard_id
             try:
@@ -733,12 +615,13 @@ class ShardedGhostDB:
     # ------------------------------------------------------------------
     # sessions
     # ------------------------------------------------------------------
-    def session(self, plan_cache_capacity: int = 64) -> FleetSession:
-        return FleetSession(self, plan_cache_capacity)
+    def session(self, plan_cache_capacity: int = 64) -> Session:
+        """A new session (own plan cache) over the fleet."""
+        return Session(self, plan_cache_capacity)
 
-    def _session_default(self) -> FleetSession:
+    def _session_default(self) -> Session:
         if self._default_session is None:
-            self._default_session = FleetSession(self)
+            self._default_session = Session(self)
         return self._default_session
 
     def prepare(self, sql: str,
@@ -746,7 +629,7 @@ class ShardedGhostDB:
                 cross: Optional[bool] = None,
                 projection: Union[str, ProjectionMode] = "project",
                 order_method: SortMethodLike = None,
-                ) -> FleetPreparedStatement:
+                ) -> PreparedStatement:
         self._require_built()
         return self._session_default().prepare(
             sql, vis_strategy, cross, projection, order_method)

@@ -1,26 +1,15 @@
-"""Admission control and per-query RAM attribution.
+"""Per-query RAM attribution.
 
-Two invariants live here:
-
-* the reservation ledger can *never* pledge past the 64 KB budget --
-  :meth:`RamReservations.reserve` hard-raises, so the "admitted set
-  fits" property is asserted on every admission, not sampled;
-* interleaved statements each report their own ``ram_peak``.  The old
-  ``reset_peak`` global window smears concurrent peaks into one
-  high-water mark; the per-context :meth:`SecureRam.query_window`
-  stack does not, which is what makes the service's per-response
-  ``ram_peak`` (and the ``claim_underruns`` counter built on it)
-  trustworthy.
+Interleaved statements each report their own ``ram_peak``.  The old
+``reset_peak`` global window smears concurrent peaks into one
+high-water mark; the per-context :meth:`SecureRam.query_window` stack
+does not, which is what makes the service's per-response ``ram_peak``
+(and the ``claim_underruns`` counter built on it) trustworthy.
 """
 
-import asyncio
 import contextvars
 
-import pytest
-
-from repro.errors import AdmissionError, RamExhausted
 from repro.hardware.ram import SecureRam
-from repro.service.admission import AdmissionController
 
 PAGE = 2048
 CAPACITY = 32 * PAGE
@@ -79,126 +68,3 @@ def test_closed_window_stops_charging():
     with ram.reserve(PAGE):
         pass
     assert window.peak == 0
-
-
-# ----------------------------------------------------------------------
-# the reservation ledger: over-pledge is impossible
-# ----------------------------------------------------------------------
-def test_ledger_overpledge_raises():
-    ram = SecureRam(capacity=CAPACITY, page_size=PAGE)
-    ledger = ram.reservations()
-    first = ledger.reserve(20 * PAGE, "q1")
-    second = ledger.reserve(12 * PAGE, "q2")
-    assert ledger.reserved == CAPACITY
-    assert not ledger.fits(1)
-    with pytest.raises(RamExhausted):
-        ledger.reserve(1, "q3")
-    first.release()
-    first.release()                       # idempotent
-    assert ledger.fits(20 * PAGE)
-    assert ledger.active == 1
-    second.release()
-    assert ledger.reserved == 0
-    assert ledger.peak_reserved == CAPACITY
-    assert ledger.max_coadmitted == 2
-    assert ledger.total_reservations == 2
-
-
-# ----------------------------------------------------------------------
-# the controller: FIFO fairness, counters, rejection
-# ----------------------------------------------------------------------
-def test_fifo_admission_no_overtake():
-    async def run():
-        controller = AdmissionController(
-            SecureRam(capacity=CAPACITY, page_size=PAGE))
-        big = await controller.admit(20 * PAGE, "big")
-        assert big.waited_s == 0.0
-
-        blocked = asyncio.ensure_future(
-            controller.admit(20 * PAGE, "blocked"))
-        # this small claim *would* fit right now, but FIFO means it
-        # must not overtake the earlier queued statement
-        small = asyncio.ensure_future(
-            controller.admit(2 * PAGE, "small"))
-        await asyncio.sleep(0)
-        assert controller.queue_depth == 2
-        assert not blocked.done() and not small.done()
-
-        big.release()
-        blocked_ticket = await blocked
-        small_ticket = await small
-        assert controller.queue_depth == 0
-        assert controller.ledger.reserved == 22 * PAGE
-        blocked_ticket.release()
-        small_ticket.release()
-        assert controller.ledger.reserved == 0
-        stats = controller.describe()
-        assert stats["admitted"] == 3
-        assert stats["admitted_immediately"] == 1
-        assert stats["queued_total"] == 2
-        assert stats["max_queue_depth"] == 2
-        assert stats["rejected"] == 0
-
-    asyncio.run(run())
-
-
-def test_admitted_set_bounded_always():
-    """The ledger raises if admission ever over-pledges -- asserted."""
-    async def run():
-        controller = AdmissionController(
-            SecureRam(capacity=CAPACITY, page_size=PAGE))
-        tickets = [await controller.admit(8 * PAGE, f"q{i}")
-                   for i in range(4)]
-        assert controller.ledger.reserved == CAPACITY
-        with pytest.raises(RamExhausted):
-            controller.ledger.reserve(1, "overflow")
-        for ticket in tickets:
-            ticket.release()
-
-    asyncio.run(run())
-
-
-def test_impossible_claim_rejected_up_front():
-    async def run():
-        controller = AdmissionController(
-            SecureRam(capacity=CAPACITY, page_size=PAGE))
-        with pytest.raises(AdmissionError):
-            await controller.admit(CAPACITY + 1, "oversized")
-        assert controller.describe()["rejected"] == 1
-        assert controller.ledger.reserved == 0
-
-    asyncio.run(run())
-
-
-def test_cancelled_waiter_leaks_nothing():
-    async def run():
-        controller = AdmissionController(
-            SecureRam(capacity=CAPACITY, page_size=PAGE))
-        holder = await controller.admit(30 * PAGE, "holder")
-        waiting = asyncio.ensure_future(
-            controller.admit(10 * PAGE, "doomed"))
-        await asyncio.sleep(0)
-        assert controller.queue_depth == 1
-        waiting.cancel()
-        with pytest.raises(asyncio.CancelledError):
-            await waiting
-        assert controller.queue_depth == 0
-        holder.release()
-        assert controller.ledger.reserved == 0
-        # the pool is fully usable again
-        ticket = await controller.admit(32 * PAGE, "all")
-        ticket.release()
-
-    asyncio.run(run())
-
-
-def test_ticket_context_manager_releases():
-    async def run():
-        controller = AdmissionController(
-            SecureRam(capacity=CAPACITY, page_size=PAGE))
-        with await controller.admit(4 * PAGE, "cm") as ticket:
-            assert controller.ledger.reserved == 4 * PAGE
-            assert ticket.claim == 4 * PAGE
-        assert controller.ledger.reserved == 0
-
-    asyncio.run(run())

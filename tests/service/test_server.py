@@ -114,9 +114,30 @@ def test_async_pipelining_many_concurrent_requests(db):
         results, stats = asyncio.run(run(server.port))
     for result in results:
         assert sorted(result.rows) == expected
-    assert stats["admission"]["admitted"] >= 16
-    assert stats["admission"]["peak_reserved"] <= \
-        stats["admission"]["capacity"]
+    # one lane job per statement (the prepare and 16 executions)
+    assert stats["lane"]["jobs_total"] == 17
+    assert stats["lane"]["queue_depth"] == 0
+
+
+def test_pipelined_writes_get_writer_seq_in_send_order(fresh_db):
+    """The lane keeps arrival order: writes pipelined on one connection
+    are applied -- and tagged -- in the order they were sent."""
+    n = 20
+
+    async def run(port):
+        async with await AsyncGhostClient.connect("127.0.0.1",
+                                                  port) as client:
+            return await asyncio.gather(*[
+                client.execute(f"INSERT INTO T0 VALUES (0, 0, {500 + i}, "
+                               f"{500 + i}, 1)")
+                for i in range(n)
+            ])
+
+    with serving(fresh_db) as server:
+        results = asyncio.run(run(server.port))
+    assert [r.writer_seq for r in results] == list(range(1, n + 1))
+    gens = [r.generations["T0"][0] for r in results]
+    assert gens == list(range(gens[0], gens[0] + n))
 
 
 def test_reported_ram_peak_matches_solo_run(fresh_db):

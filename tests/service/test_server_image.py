@@ -1,5 +1,5 @@
 """Durable images through the service: snapshot op, --image serving,
-writer-lane coordination, and hostile-frame connection drops."""
+token-lane coordination, and hostile-frame connection drops."""
 
 import socket
 import struct

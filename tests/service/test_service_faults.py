@@ -2,6 +2,7 @@
 idempotent replay, and the stop()-drains-writes contract."""
 
 import asyncio
+import threading
 
 import pytest
 
@@ -131,9 +132,10 @@ def test_stop_drains_the_inflight_writer_lane_statement():
         client = await AsyncGhostClient.connect(
             "127.0.0.1", server.port, timeout_s=5.0)
         try:
-            # hold the writer lane so the DML parks behind it, then
+            # park the DML on the lane behind a blocking job, then
             # stop the server while the statement is still in flight
-            await server._writer_lane.acquire()
+            gate = threading.Event()
+            blocker = asyncio.ensure_future(server.lane.run(gate.wait))
             write = asyncio.create_task(
                 client.execute("INSERT INTO P VALUES (2, 777)"))
             for _ in range(200):
@@ -143,9 +145,10 @@ def test_stop_drains_the_inflight_writer_lane_statement():
             assert server._request_tasks, "request never registered"
             stopper = asyncio.create_task(server.stop())
             await asyncio.sleep(0.02)
-            server._writer_lane.release()
+            gate.set()
             result = await write
             await stopper
+            await blocker
             return result
         finally:
             await client.close()
