@@ -103,27 +103,12 @@ class QueryStats:
         largest single-token peak: shard RAM budgets are not fungible.
         """
         parts = list(parts)
-        by_op: Dict[str, float] = {}
-        counters: Dict[str, int] = {}
-        combined = cls(
-            total_s=merge_s, by_operator=by_op, counters=counters,
-            bytes_to_secure=0, bytes_to_untrusted=0, ram_peak=0,
-            result_rows=0,
-        )
-        makespan = 0.0
-        for part in parts:
-            makespan = max(makespan, part.total_s)
-            for label, seconds in part.by_operator.items():
-                by_op[label] = by_op.get(label, 0.0) + seconds
-            for key, value in part.counters.items():
-                counters[key] = counters.get(key, 0) + value
-            combined.bytes_to_secure += part.bytes_to_secure
-            combined.bytes_to_untrusted += part.bytes_to_untrusted
-            combined.ram_peak = max(combined.ram_peak, part.ram_peak)
-            combined.result_rows += part.result_rows
-        combined.total_s += makespan
+        combined = cls.aggregate(parts)
+        combined.total_s = merge_s + max(
+            (part.total_s for part in parts), default=0.0)
         if merge_s:
-            by_op["Gather"] = by_op.get("Gather", 0.0) + merge_s
+            combined.by_operator["Gather"] = \
+                combined.by_operator.get("Gather", 0.0) + merge_s
         if result_rows is not None:
             combined.result_rows = result_rows
         return combined

@@ -55,7 +55,8 @@ from __future__ import annotations
 
 import dataclasses
 import weakref
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.aggregate import apply_aggregates, effective_projections
 from repro.core.catalog import SecureCatalog
@@ -64,8 +65,9 @@ from repro.core.compaction import (DEFAULT_HEADROOM_FACTOR,
                                    CompactionManager, CompactionProgress,
                                    TableCompactionStatus)
 from repro.core.dml import DmlExecutor, DmlResult
-from repro.core.executor import QepSjExecutor, QueryResult, QueryStats
+from repro.core.executor import QepSjExecutor, QueryResult
 from repro.core.loader import Loader
+from repro.core.meter import StatementMeter
 from repro.core.operators import ExecContext
 from repro.core.plan import ProjectionMode, QueryPlan, VisPlan
 from repro.core.planner import Planner, SortMethodLike, StrategyLike
@@ -215,42 +217,35 @@ class GhostDB:
 
     def _run_dml(self, bound: Union[BoundInsert, BoundDelete]
                  ) -> DmlResult:
-        """Apply one DML statement inside a per-statement cost window.
+        """Apply one journaled DML statement under a statement meter."""
+        with self._journaled(bound.table), \
+                StatementMeter(self.token) as meter:
+            if isinstance(bound, BoundInsert):
+                statement = "insert"
+                affected = self._dml.insert(bound)
+            else:
+                statement = "delete"
+                affected = self._dml.delete(bound)
+        return DmlResult(statement=statement, table=bound.table,
+                         rows_affected=affected, stats=meter.stats(affected))
 
-        A :class:`StatementJournal` is armed around the mutation: if
-        the statement dies mid-flight (power loss, out of space) the
+    @contextmanager
+    def _journaled(self, table: str) -> Iterator[None]:
+        """Arm a :class:`StatementJournal` around one mutation.
+
+        If the statement dies mid-flight (power loss, out of space) the
         journal stays uncommitted and :meth:`recover` rolls the token
         back to its pre-statement state; on success the committed
         journal is kept until the next statement so a fleet-level abort
         can still undo this shard (:meth:`undo_last_dml`).
         """
-        before = self.token.ledger.snapshot()
-        ch = self.token.channel.stats
-        in_before, out_before = ch.bytes_to_secure, ch.bytes_to_untrusted
-        journal = StatementJournal(self, bound.table)
+        journal = StatementJournal(self, table)
         try:
-            with self.token.ram.query_window() as window:
-                if isinstance(bound, BoundInsert):
-                    statement = "insert"
-                    affected = self._dml.insert(bound)
-                else:
-                    statement = "delete"
-                    affected = self._dml.delete(bound)
-        except BaseException:
+            yield
+        finally:
             journal.detach()
-            self._journal = journal  # uncommitted: recover() rolls back
-            raise
-        journal.detach()
+            self._journal = journal
         journal.committed = True
-        self._journal = journal
-        stats = self._stats_between(before, self.token.ledger.snapshot(),
-                                    rows=())
-        stats.bytes_to_secure = ch.bytes_to_secure - in_before
-        stats.bytes_to_untrusted = ch.bytes_to_untrusted - out_before
-        stats.ram_peak = window.peak
-        stats.result_rows = affected
-        return DmlResult(statement=statement, table=bound.table,
-                         rows_affected=affected, stats=stats)
 
     # ------------------------------------------------------------------
     # schema definition and loading
@@ -401,11 +396,33 @@ class GhostDB:
         Vis cache with ``{(table, columns): VisResult}`` entries that a
         batched prefetch already downloaded.
         """
+        return self._execute(plan, announce, vis_seed, finish=True)
+
+    def execute_fragment(self, plan: QueryPlan, *, announce: bool = True,
+                         vis_seed: Optional[Dict] = None) -> QueryResult:
+        """Run one *shard fragment* of a scattered query.
+
+        Like :meth:`execute_plan` but without the global finishing
+        stages -- no aggregation, no DISTINCT dedup, no internal-column
+        stripping: those are whole-result operations the gather side
+        applies once, over the merged stream.  The fragment's ordering
+        step *does* run when the plan carries one (a scatter-rewritten
+        :class:`~repro.core.plan.OrderPlan`: per-shard pre-sort /
+        top-(offset+limit), charged to this token's RAM and flash like
+        any sort).  Rows keep the full projection list -- including the
+        anchor-id tail the gather merges by -- and the cost report is
+        metered identically to a standalone query.  Each shard's
+        channel carries its own audited copy of the (public) query
+        text, so the no-leak invariant stays checkable per channel.
+        """
+        return self._execute(plan, announce, vis_seed, finish=False)
+
+    def _execute(self, plan: QueryPlan, announce: bool,
+                 vis_seed: Optional[Dict], finish: bool) -> QueryResult:
+        """The shared body of :meth:`execute_plan` (``finish=True``)
+        and :meth:`execute_fragment`."""
         self._require_built()
-        before = self.token.ledger.snapshot()
-        ch = self.token.channel.stats
-        in_before, out_before = ch.bytes_to_secure, ch.bytes_to_untrusted
-        with self.token.ram.query_window() as window:
+        with StatementMeter(self.token) as meter:
             if announce:
                 # the query text itself is the one thing Secure reveals
                 with self.token.label("Vis"):
@@ -425,97 +442,17 @@ class GhostDB:
                 )
             finally:
                 sj.free()
-            if plan.bound.is_aggregate:
+            if finish and plan.bound.is_aggregate:
                 names, rows = apply_aggregates(plan.bound,
                                                plan.bound.projections, rows)
-            elif plan.bound.distinct:
+            elif finish and plan.bound.distinct:
                 rows = dedup_rows(rows)
             if plan.order is not None:
                 rows = OrderByExecutor(ctx, plan.order).execute(rows)
-        names, rows = strip_internal_columns(plan.bound, names, rows)
-        after = self.token.ledger.snapshot()
-        stats = self._stats_between(before, after, rows)
-        stats.bytes_to_secure = ch.bytes_to_secure - in_before
-        stats.bytes_to_untrusted = ch.bytes_to_untrusted - out_before
-        # the per-query attribution window ensures this is the peak of
-        # *this* query's allocations, even when other statements
-        # interleave on the shared token
-        stats.ram_peak = window.peak
-        return QueryResult(columns=names, rows=rows, stats=stats, plan=plan)
-
-    def execute_fragment(self, plan: QueryPlan, *, announce: bool = True,
-                         vis_seed: Optional[Dict] = None) -> QueryResult:
-        """Run one *shard fragment* of a scattered query.
-
-        Like :meth:`execute_plan` but without the global finishing
-        stages -- no aggregation, no DISTINCT dedup, no internal-column
-        stripping: those are whole-result operations the gather side
-        applies once, over the merged stream.  The fragment's ordering
-        step *does* run when the plan carries one (a scatter-rewritten
-        :class:`~repro.core.plan.OrderPlan`: per-shard pre-sort /
-        top-(offset+limit), charged to this token's RAM and flash like
-        any sort).  Rows keep the full projection list -- including the
-        anchor-id tail the gather merges by -- and the cost window is
-        accounted identically to a standalone query.
-        """
-        self._require_built()
-        before = self.token.ledger.snapshot()
-        ch = self.token.channel.stats
-        in_before, out_before = ch.bytes_to_secure, ch.bytes_to_untrusted
-        with self.token.ram.query_window() as window:
-            if announce:
-                # each shard's channel carries its own audited copy of
-                # the (public) query text: the no-leak invariant stays
-                # checkable per channel
-                with self.token.label("Vis"):
-                    self.token.channel.to_untrusted(
-                        max(1, len(plan.bound.sql)), kind="query",
-                        description=plan.bound.sql[:80],
-                    )
-            ctx = ExecContext(self.token, self.catalog, self._vis_server,
-                              plan.bound)
-            if vis_seed:
-                for (table, columns), result in vis_seed.items():
-                    ctx.seed_vis(table, result, columns)
-            sj = QepSjExecutor(ctx).execute(plan)
-            try:
-                names, rows = ProjectionExecutor(ctx).execute(
-                    sj, plan.projection_mode
-                )
-            finally:
-                sj.free()
-            if plan.order is not None:
-                rows = OrderByExecutor(ctx, plan.order).execute(rows)
-        after = self.token.ledger.snapshot()
-        stats = self._stats_between(before, after, rows)
-        stats.bytes_to_secure = ch.bytes_to_secure - in_before
-        stats.bytes_to_untrusted = ch.bytes_to_untrusted - out_before
-        stats.ram_peak = window.peak
-        return QueryResult(columns=names, rows=rows, stats=stats, plan=plan)
-
-    # ------------------------------------------------------------------
-    def _stats_between(self, before, after, rows) -> QueryStats:
-        by_op: Dict[str, float] = {}
-        for label, parts in after.time_us.items():
-            delta = sum(parts.values()) - sum(
-                before.time_us.get(label, {}).values()
-            )
-            if delta > 1e-12:
-                by_op[label] = delta / 1e6
-        counters = {
-            k: after.counters[k] - before.counters.get(k, 0)
-            for k in after.counters
-            if after.counters[k] != before.counters.get(k, 0)
-        }
-        return QueryStats(
-            total_s=sum(by_op.values()),
-            by_operator=by_op,
-            counters=counters,
-            bytes_to_secure=0,
-            bytes_to_untrusted=0,
-            ram_peak=0,
-            result_rows=len(rows),
-        )
+        if finish:
+            names, rows = strip_internal_columns(plan.bound, names, rows)
+        return QueryResult(columns=names, rows=rows,
+                           stats=meter.stats(len(rows)), plan=plan)
 
     # ------------------------------------------------------------------
     # sessions, prepared statements, batched execution

@@ -29,10 +29,11 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple, Union)
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List,
+                    Optional, Sequence, Tuple, Union)
 
 from repro.core.executor import QueryResult, QueryStats
+from repro.core.meter import StatementMeter
 from repro.core.operators import to_vis_predicates
 from repro.core.plan import ProjectionMode, QueryPlan
 from repro.core.planner import (SortMethodLike, StrategyLike, _coerce_mode,
@@ -432,14 +433,16 @@ class Session:
         if not param_sets:
             return BatchResult([], QueryStats.aggregate(()), 0, 0)
         bounds = [stmt.template.substitute(p) for p in param_sets]
-        window = self._open_window()
-        plan = stmt.plan_for(bounds[0])
-        plans = [plan.with_bound(b) for b in bounds]
-        # one audited message carries the template and every value set
-        nbytes = max(1, len(stmt.sql)) + 8 * stmt.param_count * len(bounds)
-        self._announce_batch(nbytes, len(plans), stmt.sql)
-        stmt.executions += len(plans)
-        return self._execute_plans(plans, prefetch_vis, window)
+
+        def plan_batch():
+            plan = stmt.plan_for(bounds[0])
+            stmt.executions += len(bounds)
+            # one audited message carries the template and every value set
+            nbytes = (max(1, len(stmt.sql))
+                      + 8 * stmt.param_count * len(bounds))
+            return [plan.with_bound(b) for b in bounds], nbytes, stmt.sql
+
+        return self._execute_plans(plan_batch, prefetch_vis)
 
     def _run_sql_batch(self, sqls: List[str],
                        vis_strategy: StrategyLike, cross: Optional[bool],
@@ -448,23 +451,16 @@ class Session:
                        prefetch_vis: bool) -> BatchResult:
         if not sqls:
             return BatchResult([], QueryStats.aggregate(()), 0, 0)
-        window = self._open_window()
-        plans = [self._plan_cached(s, vis_strategy, cross, projection,
-                                   order_method)
-                 for s in sqls]
-        nbytes = sum(max(1, len(s)) for s in sqls)
-        self._announce_batch(nbytes, len(plans), sqls[0])
-        return self._execute_plans(plans, prefetch_vis, window)
+
+        def plan_batch():
+            plans = [self._plan_cached(s, vis_strategy, cross, projection,
+                                       order_method)
+                     for s in sqls]
+            return plans, sum(max(1, len(s)) for s in sqls), sqls[0]
+
+        return self._execute_plans(plan_batch, prefetch_vis)
 
     # ------------------------------------------------------------------
-    def _open_window(self) -> Tuple:
-        """Snapshot the token's ledgers before a batch."""
-        db = self.db
-        ch = db.token.channel.stats
-        return (db.token.ledger.snapshot(), ch.bytes_to_secure,
-                ch.bytes_to_untrusted, db._planner.plans_built,
-                self.plan_cache.hits)
-
     def _announce_batch(self, nbytes: int, n: int, head_sql: str) -> None:
         """The batch's query texts leave Secure in a single message."""
         token = self.db.token
@@ -510,26 +506,33 @@ class Session:
             for per_plan in wanted
         ]
 
-    def _execute_plans(self, plans: List[QueryPlan], prefetch_vis: bool,
-                       window: Tuple) -> BatchResult:
+    def _execute_plans(self, plan_batch: Callable[
+                           [], Tuple[List[QueryPlan], int, str]],
+                       prefetch_vis: bool) -> BatchResult:
+        """Plan, announce and run one batch under one statement meter.
+
+        ``plan_batch()`` runs inside the meter -- the batch owns its
+        planner probes -- and returns the plans plus the size and head
+        SQL of the batch's single announcement.
+        """
         db = self.db
-        seeds: Sequence[Optional[Dict]] = (
-            self._prefetch_vis(plans) if prefetch_vis
-            else [None] * len(plans)
-        )
-        results = [
-            db.execute_plan(plan, announce=False, vis_seed=seed)
-            for plan, seed in zip(plans, seeds)
-        ]
-        before, in0, out0, plans0, hits0 = window
-        ch = db.token.channel.stats
+        plans0, hits0 = db._planner.plans_built, self.plan_cache.hits
+        with StatementMeter(db.token) as meter:
+            plans, nbytes, head_sql = plan_batch()
+            self._announce_batch(nbytes, len(plans), head_sql)
+            seeds: Sequence[Optional[Dict]] = (
+                self._prefetch_vis(plans) if prefetch_vis
+                else [None] * len(plans)
+            )
+            results = [
+                db.execute_plan(plan, announce=False, vis_seed=seed)
+                for plan, seed in zip(plans, seeds)
+            ]
         per_query = QueryStats.aggregate(r.stats for r in results)
-        stats = db._stats_between(before, db.token.ledger.snapshot(),
-                                  rows=())
-        stats.result_rows = per_query.result_rows
+        stats = meter.stats(per_query.result_rows)
+        # queries run one after another: the batch's RAM peak is its
+        # largest query's
         stats.ram_peak = per_query.ram_peak
-        stats.bytes_to_secure = ch.bytes_to_secure - in0
-        stats.bytes_to_untrusted = ch.bytes_to_untrusted - out0
         return BatchResult(
             results=results, stats=stats,
             plans_computed=db._planner.plans_built - plans0,

@@ -10,58 +10,50 @@ plans honour the paper's 64 KB budget.
 The natural allocation unit is one *buffer* of one flash page (2 KB);
 the default budget is 32 such buffers.
 
-A bookkeeping layer sits next to the allocator itself:
-:class:`QueryWindow` (via :meth:`SecureRam.query_window`) attributes
-allocations to the query that made them.  Windows are tracked through
-a :mod:`contextvars` stack, so windows opened by different asyncio
-tasks (or ``to_thread`` contexts) never see each other's allocations:
-two interleaved queries each report their *own* peak instead of
-smearing a shared high-water mark.  The legacy
-:meth:`SecureRam.reset_peak` global window survives for direct
-callers, but every per-statement report in the engine goes through
-windows.
+Each statement's ``ram_peak`` comes from a :class:`QueryWindow` (via
+:meth:`SecureRam.query_window`): a high-water mark kept on the RAM
+itself, relative to the bytes already held when the window opened.
+Windows belong to one token's RAM, so a window on one token never sees
+another token's allocations, and they nest (a session batch around
+its queries).  Statements never interleave on one token --
+the service runs them one at a time on its token lane -- so one
+running mark per RAM is all the attribution needs.
 """
 
 from __future__ import annotations
 
-import contextvars
 from contextlib import contextmanager
-from typing import Iterator, Tuple
+from typing import Iterator
 
 from repro.errors import RamExhausted
 from repro.flash.constants import PAGE_SIZE, RAM_SIZE
 
-#: stack of open :class:`QueryWindow` objects for the current context.
-#: A ``ContextVar`` (not a plain attribute) so concurrent tasks each
-#: see only the windows they opened themselves.
-_WINDOWS: "contextvars.ContextVar[Tuple[QueryWindow, ...]]" = \
-    contextvars.ContextVar("secure_ram_windows", default=())
-
 
 class QueryWindow:
-    """Per-query RAM attribution: bytes held and peak held.
+    """One statement's secure-RAM peak on one token.
 
-    ``held`` counts the bytes allocated *through this window's
-    context* that are still live; ``peak`` is its high-water mark.
-    Nested windows in the same context stack (a DML statement running
-    a predicate QEPSJ, say) each see the allocation; windows opened by
-    other tasks never do.
+    Opening the window saves the RAM's lifetime mark and restarts
+    ``peak_used`` at the bytes currently held; closing it sets
+    :attr:`peak` to the most bytes held *above* that base in between
+    and folds the window's mark back into the lifetime mark.
     """
 
-    __slots__ = ("held", "peak", "closed")
+    __slots__ = ("ram", "peak", "_base", "_saved")
 
-    def __init__(self) -> None:
-        self.held = 0
+    def __init__(self, ram: "SecureRam"):
+        self.ram = ram
         self.peak = 0
-        self.closed = False
 
-    def _charge(self, nbytes: int) -> None:
-        self.held += nbytes
-        if self.held > self.peak:
-            self.peak = self.held
+    def __enter__(self) -> "QueryWindow":
+        ram = self.ram
+        self._saved, self._base = ram.peak_used, ram.used
+        ram.peak_used = ram.used
+        return self
 
-    def _uncharge(self, nbytes: int) -> None:
-        self.held = max(0, self.held - nbytes)
+    def __exit__(self, *exc) -> None:
+        ram = self.ram
+        self.peak = ram.peak_used - self._base
+        ram.peak_used = max(self._saved, ram.peak_used)
 
 
 class Allocation:
@@ -79,7 +71,7 @@ class Allocation:
         """Return the bytes to the pool (idempotent)."""
         if not self.freed:
             self.freed = True
-            self.ram._release(self.nbytes)
+            self.ram.used -= self.nbytes
             self.ram.live_allocations = max(0, self.ram.live_allocations - 1)
             self.ram._live.discard(self)
 
@@ -91,7 +83,7 @@ class Allocation:
         if delta > 0:
             self.ram._acquire(delta, self.label)
         elif delta < 0:
-            self.ram._release(-delta)
+            self.ram.used += delta
         self.nbytes = nbytes
 
     def __enter__(self) -> "Allocation":
@@ -166,49 +158,13 @@ class SecureRam:
             )
         self.used += nbytes
         self.peak_used = max(self.peak_used, self.used)
-        for window in _WINDOWS.get():
-            if not window.closed:
-                window._charge(nbytes)
-
-    def _release(self, nbytes: int) -> None:
-        self.used -= nbytes
-        for window in _WINDOWS.get():
-            if not window.closed:
-                window._uncharge(nbytes)
 
     # ------------------------------------------------------------------
-    @contextmanager
-    def query_window(self) -> Iterator[QueryWindow]:
-        """Attribute the enclosed allocations to one query.
-
-        ``with ram.query_window() as win:`` opens a per-query
-        attribution window; ``win.peak`` after (or during) the block is
-        the peak of *this* query's allocations only.  Windows nest
-        (inner statements charge every enclosing window of the same
-        context) but are invisible across tasks/threads, so
-        interleaved queries cannot smear each other's reported peaks
-        the way the global :meth:`reset_peak` window could.
-        """
-        window = QueryWindow()
-        stack = _WINDOWS.get()
-        token = _WINDOWS.set(stack + (window,))
-        try:
-            yield window
-        finally:
-            window.closed = True
-            _WINDOWS.reset(token)
-
-    def reset_peak(self) -> int:
-        """Start a new peak-tracking window; returns the old peak.
-
-        ``peak_used`` is a high-water mark and never decays on its own,
-        so per-query reports must open a fresh window before executing
-        (otherwise every query reports the token's lifetime peak).
-        The new window starts at the currently allocated ``used``.
-        """
-        old = self.peak_used
-        self.peak_used = self.used
-        return old
+    def query_window(self) -> QueryWindow:
+        """``with ram.query_window() as win:`` -- ``win.peak`` after
+        the block is the peak of the enclosed statement's allocations
+        on this RAM (see :class:`QueryWindow`)."""
+        return QueryWindow(self)
 
     def power_cycle(self) -> int:
         """Reboot semantics: volatile RAM does not survive power loss.

@@ -7,8 +7,10 @@ thread strictly in arrival order, which keeps the asyncio event loop
 free for framing, ``ping`` and ``stats`` while the token works.
 
 Each job runs in a copy of its caller's :mod:`contextvars` context
-(as :func:`asyncio.to_thread` does), so per-statement RAM windows and
-request-scoped tracing follow the statement onto the worker thread.
+(as :func:`asyncio.to_thread` does), so request-scoped tracing follows
+the statement onto the worker thread.  (Per-statement RAM peaks need
+no context: they are kept on the token's RAM, see
+:class:`~repro.hardware.ram.QueryWindow`.)
 """
 
 from __future__ import annotations

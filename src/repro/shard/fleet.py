@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import weakref
+from contextlib import ExitStack
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.aggregate import apply_aggregates, effective_projections
@@ -45,8 +46,8 @@ from repro.core.plan import (OrderPlan, ProjectionMode, QueryPlan,
                              SortMethod)
 from repro.core.planner import (SortMethodLike, StrategyLike,
                                 scatter_order)
-from repro.core.recovery import (IdempotencyLedger, RecoveryReport,
-                                 StatementJournal)
+from repro.core.meter import StatementMeter
+from repro.core.recovery import IdempotencyLedger, RecoveryReport
 from repro.core.reference import ReferenceEngine
 from repro.core.session import PreparedStatement, Session
 from repro.core.sort import (dedup_rows, sort_projections,
@@ -737,42 +738,34 @@ class ShardedGhostDB:
             )
         for k in range(self.n_shards):
             self._touch_shard(k)
-        meters = [_ShardMeter(shard) for shard in self.shards]
-        ids: List[List[int]] = []
-        for k, (shard, meter) in enumerate(zip(self.shards, meters)):
-            self._touch_shard(k)
-            with meter.window():
-                ids.append(shard._dml.delete_candidates(bound))
-        for k, (shard, meter, shard_ids) in enumerate(
-                zip(self.shards, meters, ids)):
-            self._touch_shard(k)
-            with meter.window():
-                shard._dml.check_restrict(bound.table, shard_ids)
-        counts = []
-        applied: List[int] = []
-        try:
-            for k, (shard, meter, shard_ids) in enumerate(
-                    zip(self.shards, meters, ids)):
+        with ExitStack() as stack:
+            # one meter per shard for the whole statement: RAM windows
+            # are per token, so the shards' meters never see each other
+            meters = [stack.enter_context(StatementMeter(shard.token))
+                      for shard in self.shards]
+            ids: List[List[int]] = []
+            for k, shard in enumerate(self.shards):
                 self._touch_shard(k)
-                # arm an undo journal exactly like _run_dml does, so a
-                # later shard's failure can roll this apply back
-                journal = StatementJournal(shard, bound.table)
-                try:
-                    with meter.window():
+                ids.append(shard._dml.delete_candidates(bound))
+            for k, (shard, shard_ids) in enumerate(zip(self.shards, ids)):
+                self._touch_shard(k)
+                shard._dml.check_restrict(bound.table, shard_ids)
+            counts = []
+            applied: List[int] = []
+            try:
+                for k, (shard, shard_ids) in enumerate(
+                        zip(self.shards, ids)):
+                    self._touch_shard(k)
+                    # journaled like _run_dml, so a later shard's
+                    # failure can roll this apply back
+                    with shard._journaled(bound.table):
                         counts.append(
                             shard._dml.apply_delete(bound, shard_ids))
-                except BaseException:
-                    journal.detach()
-                    shard._journal = journal   # uncommitted
-                    raise
-                journal.detach()
-                journal.committed = True
-                shard._journal = journal
-                applied.append(k)
-        except GhostDBError:
-            for k in reversed(applied):
-                self.shards[k].undo_last_dml()
-            raise
+                    applied.append(k)
+            except GhostDBError:
+                for k in reversed(applied):
+                    self.shards[k].undo_last_dml()
+                raise
         stats = QueryStats.parallel([m.stats() for m in meters])
         stats.result_rows = counts[0]
         return DmlResult(statement="delete", table=bound.table,
@@ -955,54 +948,6 @@ class ShardedGhostDB:
     def restore(cls, path: str, verify: bool = False) -> "ShardedGhostDB":
         from repro.shard.persist import restore_fleet
         return restore_fleet(path, verify=verify)
-
-
-class _ShardMeter:
-    """Per-shard cost capture across the phases of a fleet statement.
-
-    The ledger/channel deltas span all phases; RAM windows open and
-    close around each phase separately (the contextvar window stack is
-    process-wide, so windows of different shards must never nest) and
-    the meter keeps the largest phase peak -- phases drain their
-    allocations before returning, so the max over phases is the true
-    per-shard peak.
-    """
-
-    def __init__(self, shard: GhostDB):
-        self.shard = shard
-        self._before = shard.token.ledger.snapshot()
-        ch = shard.token.channel.stats
-        self._in0 = ch.bytes_to_secure
-        self._out0 = ch.bytes_to_untrusted
-        self._peak = 0
-
-    def window(self):
-        meter = self
-
-        class _Window:
-            def __enter__(self):
-                self._w = meter.shard.token.ram.query_window()
-                self._inner = self._w.__enter__()
-                return self._inner
-
-            def __exit__(self, *exc):
-                try:
-                    return self._w.__exit__(*exc)
-                finally:
-                    meter._peak = max(meter._peak, self._inner.peak)
-
-        return _Window()
-
-    def stats(self) -> QueryStats:
-        shard = self.shard
-        stats = shard._stats_between(self._before,
-                                     shard.token.ledger.snapshot(),
-                                     rows=())
-        ch = shard.token.channel.stats
-        stats.bytes_to_secure = ch.bytes_to_secure - self._in0
-        stats.bytes_to_untrusted = ch.bytes_to_untrusted - self._out0
-        stats.ram_peak = self._peak
-        return stats
 
 
 def _combine_progress(progs: List[CompactionProgress]

@@ -95,11 +95,11 @@ def test_reduction_respects_reserved_buffers():
              for i in range(6)]
     reserve = 5
     budget_pages = ram.free_buffers - reserve  # 3 buffers for Merge
-    ram.reset_peak()
-    got = list(op.stream([group], reserve_buffers=reserve))
+    with ram.query_window() as window:
+        got = list(op.stream([group], reserve_buffers=reserve))
     assert got == sorted({i + 10 * k for i in range(6) for k in range(8)})
     assert op.reductions > 0
-    assert ram.peak_used <= budget_pages * PAGE
+    assert window.peak <= budget_pages * PAGE
 
 
 def test_impossible_budget_raises():

@@ -5,6 +5,8 @@ import pytest
 from repro.errors import RamExhausted
 from repro.hardware.ram import SecureRam
 
+PAGE = 2048
+
 
 def test_defaults_match_paper():
     ram = SecureRam()
@@ -41,26 +43,65 @@ def test_peak_tracking():
     assert ram.peak_used == 5000
 
 
-def test_reset_peak_opens_new_window():
+def test_window_starts_at_live_allocations():
+    ram = SecureRam(capacity=8192)
+    held = ram.alloc(3000)
+    with ram.query_window() as window:
+        spike = ram.alloc(1200)
+        spike.free()
+    # the statement's peak counts only what it added on top of the
+    # bytes already held when its window opened
+    assert window.peak == 1200
+    held.free()
+
+
+def test_window_keeps_lifetime_peak():
     ram = SecureRam(capacity=8192)
     a = ram.alloc(5000)
     a.free()
-    assert ram.reset_peak() == 5000
-    assert ram.peak_used == 0
-    b = ram.alloc(1200)
-    assert ram.peak_used == 1200
-    b.free()
+    with ram.query_window() as window:
+        b = ram.alloc(1200)
+        b.free()
+    assert window.peak == 1200
+    assert ram.peak_used == 5000        # still the lifetime mark
+    with ram.query_window() as window:
+        c = ram.alloc(6000)
+        c.free()
+    assert window.peak == 6000
+    assert ram.peak_used == 6000
 
 
-def test_reset_peak_starts_at_live_allocations():
-    ram = SecureRam(capacity=8192)
-    held = ram.alloc(3000)
-    spike = ram.alloc(4000)
-    spike.free()
-    assert ram.reset_peak() == 7000
-    # the new window starts at what is still allocated, not at zero
-    assert ram.peak_used == 3000
-    held.free()
+def test_windows_nest_on_one_token():
+    ram = SecureRam(capacity=32 * PAGE, page_size=PAGE)
+    with ram.query_window() as outer:
+        with ram.reserve(PAGE):
+            with ram.query_window() as inner:
+                with ram.reserve(2 * PAGE):
+                    pass
+    assert inner.peak == 2 * PAGE        # only its own statement
+    assert outer.peak == 3 * PAGE        # everything below it
+
+
+def test_windows_on_different_tokens_are_independent():
+    """A window sees its own token's RAM only, so a fleet statement can
+    hold one window per shard at once."""
+    ram_a = SecureRam(capacity=32 * PAGE, page_size=PAGE)
+    ram_b = SecureRam(capacity=32 * PAGE, page_size=PAGE)
+    with ram_a.query_window() as window_a:
+        with ram_b.query_window() as window_b:
+            with ram_b.reserve(2 * PAGE):
+                pass
+    assert window_a.peak == 0
+    assert window_b.peak == 2 * PAGE
+
+
+def test_closed_window_stops_charging():
+    ram = SecureRam(capacity=32 * PAGE, page_size=PAGE)
+    with ram.query_window() as window:
+        pass
+    with ram.reserve(PAGE):
+        pass
+    assert window.peak == 0
 
 
 def test_buffer_allocation():
